@@ -17,6 +17,7 @@ import (
 	"repro/internal/hyperplane"
 	"repro/internal/machine"
 	"repro/internal/mapping"
+	"repro/internal/project"
 	"repro/internal/sim"
 )
 
@@ -586,4 +587,58 @@ func BenchmarkSweepFanOut(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPlanStages times each planner stage on its own —
+// enumerate, schedule, project, partition (Algorithm 1), invariants, TIG
+// and map (Algorithm 2) — with every stage's inputs built once outside the
+// timer. Names are {kernel}/{size}/{stage}; ns/point divides by |V|.
+func BenchmarkPlanStages(b *testing.B) {
+	for _, c := range []struct {
+		kernel string
+		size   int64
+	}{{"matmul", 40}, {"matmul", 128}, {"l1", 128}, {"stencil", 128}} {
+		b.Run(fmt.Sprintf("%s/%d", c.kernel, c.size), func(b *testing.B) {
+			k := NewKernel(c.kernel, c.size)
+			st, err := k.Structure()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sch, err := hyperplane.NewSchedule(st, k.Pi)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ps, err := project.Project(st, sch.Pi)
+			if err != nil {
+				b.Fatal(err)
+			}
+			part, err := core.Partition(ps, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			stages := []struct {
+				name string
+				run  func() error
+			}{
+				{"enumerate", func() error { _, err := k.Structure(); return err }},
+				{"schedule", func() error { _, err := hyperplane.NewSchedule(st, k.Pi); return err }},
+				{"project", func() error { _, err := project.Project(st, sch.Pi); return err }},
+				{"partition", func() error { _, err := core.Partition(ps, core.Options{}); return err }},
+				{"invariants", func() error { return core.CheckInvariants(part) }},
+				{"tig", func() error { core.BuildTIG(part); return nil }},
+				{"map", func() error { _, err := mapping.MapPartitioning(part, 3, mapping.Options{}); return err }},
+			}
+			for _, s := range stages {
+				b.Run(s.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := s.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(st.V)), "ns/point")
+				})
+			}
+		})
+	}
 }

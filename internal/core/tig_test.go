@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/vec"
 )
 
 func TestNewTIGAndAccessors(t *testing.T) {
@@ -133,6 +135,83 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	// After restoring everything the check passes again.
 	if err := CheckInvariants(p); err != nil {
 		t.Fatalf("restored partitioning fails: %v", err)
+	}
+}
+
+// TestCheckInvariantsLemma1SelfConsistent: a partitioning whose GroupOf,
+// BlockOf and fibers all agree, but whose single block holds every index
+// point, passes the consistency checks and must fail on Lemma 1 itself.
+// Π = (1000, 1000) spreads L1's 7 steps over a time span of 6001, past
+// twice |V|, so the step stamps fold and resolve collisions by probing.
+func TestCheckInvariantsLemma1SelfConsistent(t *testing.T) {
+	for _, pi := range []vec.Int{vec.NewInt(1, 1), vec.NewInt(1000, 1000)} {
+		ps := projected(t, "L1", []int64{0, 0}, []int64{3, 3}, pi,
+			vec.NewInt(0, 1), vec.NewInt(1, 0), vec.NewInt(1, 1))
+		valid, err := Partition(ps, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckInvariants(valid); err != nil {
+			t.Fatalf("Π = %v: valid partitioning rejected: %v", pi, err)
+		}
+
+		g := Group{ID: 0, Base: ps.Points[0].Clone(), Coords: []int64{}}
+		for i := range ps.Points {
+			g.Members = append(g.Members, i)
+			g.Slot = append(g.Slot, i)
+		}
+		p := &Partitioning{
+			PS: ps, R: int64(len(ps.Points)), Groups: []Group{g}, MergeFactor: 1,
+			GroupOf: make([]int, len(ps.Points)), BlockOf: make([]int, len(ps.Orig.V)),
+		}
+		err = CheckInvariants(p)
+		if err == nil || !strings.Contains(err.Error(), "Lemma 1") {
+			t.Fatalf("Π = %v: err = %v, want a Lemma 1 violation", pi, err)
+		}
+		// A coarsened partitioning relaxes Lemma 1 on purpose.
+		p.MergeFactor = 2
+		if err := CheckInvariants(p); err != nil {
+			t.Fatalf("Π = %v: merged partitioning rejected: %v", pi, err)
+		}
+	}
+}
+
+// TestCheckInvariantsRejectsBrokenFibers: the fibers must partition V — a
+// fiber that drops a vertex, or lists one twice, is rejected.
+func TestCheckInvariantsRejectsBrokenFibers(t *testing.T) {
+	p, err := Partition(matmulProjected(t, 4), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fibers := p.PS.Fibers
+	k := -1
+	for i, f := range fibers {
+		if len(f) > 1 {
+			k = i
+			break
+		}
+	}
+	if k < 0 {
+		t.Fatal("no fiber with two points")
+	}
+	defer func(f []int) { fibers[k] = f }(fibers[k])
+	orig := fibers[k]
+
+	fibers[k] = orig[:len(orig)-1]
+	if err := CheckInvariants(p); err == nil || !strings.Contains(err.Error(), "no grouped fiber") {
+		t.Fatalf("dropped vertex: err = %v", err)
+	}
+	fibers[k] = append(append([]int{}, orig...), orig[0])
+	if err := CheckInvariants(p); err == nil || !strings.Contains(err.Error(), "more than one fiber position") {
+		t.Fatalf("repeated vertex: err = %v", err)
+	}
+	fibers[k] = append([]int{orig[len(orig)-1]}, orig[:len(orig)-1]...)
+	if err := CheckInvariants(p); err == nil || !strings.Contains(err.Error(), "order") {
+		t.Fatalf("unordered fiber: err = %v", err)
+	}
+	fibers[k] = orig
+	if err := CheckInvariants(p); err != nil {
+		t.Fatalf("restored fibers rejected: %v", err)
 	}
 }
 

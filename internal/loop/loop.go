@@ -170,12 +170,18 @@ func (n *Nest) ForEach(visit func(vec.Int)) {
 // returns false; it reports whether the walk ran to completion. It is the
 // abortable primitive behind cancellable enumeration.
 func (n *Nest) ForEachUntil(visit func(vec.Int) bool) bool {
+	return n.walk(func(idx vec.Int) bool { return visit(idx.Clone()) })
+}
+
+// walk is ForEachUntil without the per-point copy: visit sees one shared
+// index vector, valid only for the duration of the call.
+func (n *Nest) walk(visit func(vec.Int) bool) bool {
 	idx := make(vec.Int, n.Dims)
 	stop := false
 	var rec func(j int)
 	rec = func(j int) {
 		if j == n.Dims {
-			if !visit(idx.Clone()) {
+			if !visit(idx) {
 				stop = true
 			}
 			return
@@ -301,6 +307,8 @@ type Structure struct {
 type rectIndex struct {
 	lo, hi  []int64
 	strides []int64
+	// size is the number of index points, Π (hi_k − lo_k + 1).
+	size int64
 }
 
 // ErrTooLarge classifies iteration spaces whose sizing arithmetic
@@ -344,6 +352,7 @@ func newRectIndex(n *Nest) (*rectIndex, error) {
 			return nil, fmt.Errorf("%w: %d dimensions overflow the index space at dimension %d", ErrTooLarge, n.Dims, j+1)
 		}
 	}
+	r.size = stride
 	return r, nil
 }
 
@@ -387,10 +396,20 @@ func NewStructure(n *Nest, explicitDeps ...vec.Int) (*Structure, error) {
 // the context, amortizing the cancellation check over the hot enumeration.
 const enumCheckEvery = 8192
 
+// maxPresize caps the coordinate buffer NewStructureCtx reserves up front,
+// in int64 words (128 MiB). A larger nest grows the buffer by append, so
+// one that a deadline cuts short never reserves its full size first.
+const maxPresize = 1 << 24
+
 // NewStructureCtx is NewStructure with cooperative cancellation: the point
 // enumeration polls ctx every enumCheckEvery points, so a caller's deadline
 // bounds the enumeration of even huge index sets. A nil ctx means
 // context.Background().
+//
+// All coordinates land in one []int64, pre-sized for rectangular nests
+// from the stride indexer; V[i] is a full slice expression over it, so the
+// vertex set is two heap objects however many points it has, and an
+// append to one vertex reallocates rather than overwriting its neighbour.
 func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*Structure, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -415,16 +434,20 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	if err != nil {
 		return nil, fmt.Errorf("loop %q: %w", n.Name, err)
 	}
-	if s.rect = rect; s.rect == nil {
-		s.index = map[string]int{}
+	s.rect = rect
+	var buf []int64
+	if rect != nil {
+		words, ok := ints.CheckedMul(rect.size, int64(n.Dims))
+		if !ok {
+			return nil, fmt.Errorf("loop %q: %w: %d points of %d coordinates", n.Name, ErrTooLarge, rect.size, n.Dims)
+		}
+		buf = make([]int64, 0, min(words, maxPresize))
 	}
 	var ctxErr error
-	n.ForEachUntil(func(p vec.Int) bool {
-		if s.index != nil {
-			s.index[p.Key()] = len(s.V)
-		}
-		s.V = append(s.V, p)
-		if len(s.V)%enumCheckEvery == 0 {
+	count := 0
+	n.walk(func(p vec.Int) bool {
+		buf = append(buf, p...)
+		if count++; count%enumCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				ctxErr = err
 				return false
@@ -434,6 +457,17 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	})
 	if ctxErr != nil {
 		return nil, ctxErr
+	}
+	dims := n.Dims
+	s.V = make([]vec.Int, count)
+	for i := range s.V {
+		s.V[i] = buf[i*dims : (i+1)*dims : (i+1)*dims]
+	}
+	if s.rect == nil {
+		s.index = make(map[string]int, count)
+		for i, p := range s.V {
+			s.index[p.Key()] = i
+		}
 	}
 	return s, nil
 }

@@ -321,3 +321,30 @@ func TestAffineString(t *testing.T) {
 		t.Error("IsConst wrong")
 	}
 }
+
+// TestVertexAppendDoesNotAlias: vertices share one coordinate buffer, so
+// each V[i] must be capped at its own length — appending to one vertex
+// reallocates instead of overwriting the next.
+func TestVertexAppendDoesNotAlias(t *testing.T) {
+	for _, n := range []*Nest{
+		NewRect("rect", []int64{0, 0}, []int64{3, 4}),
+		{Name: "tri", Dims: 2, Lower: []Affine{Const(0), Const(0)},
+			Upper: []Affine{Const(4), {Const: 0, Coeffs: []int64{1, 0}}}},
+	} {
+		st, err := NewStructure(n, vec.NewInt(0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < len(st.V); i++ {
+			next := st.V[i+1].Clone()
+			grown := append(st.V[i], 99, 99)
+			grown[0] = -7
+			if !st.V[i+1].Equal(next) {
+				t.Fatalf("%s: append to V[%d] overwrote V[%d]: %v", n.Name, i, i+1, st.V[i+1])
+			}
+			if st.V[i][0] == -7 {
+				t.Fatalf("%s: append to V[%d] wrote through to it", n.Name, i)
+			}
+		}
+	}
+}

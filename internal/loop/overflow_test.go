@@ -49,3 +49,17 @@ func TestRectIndexSizingBoundary(t *testing.T) {
 		t.Fatalf("stride[0] = %d, want %d", r.strides[0], (1<<30)+1)
 	}
 }
+
+// TestEnumerationBufferSizingOverflow: the point count fits int64 (2^62)
+// but the coordinate buffer, points × Dims, does not; sizing must fail
+// with ErrTooLarge rather than wrap.
+func TestEnumerationBufferSizingOverflow(t *testing.T) {
+	n := NewRect("wide", []int64{0, 0, 0}, []int64{1<<20 - 1, 1<<20 - 1, 1<<22 - 1})
+	if r, err := newRectIndex(n); err != nil || r.size != 1<<62 {
+		t.Fatalf("point count should fit: size %v, err %v", r, err)
+	}
+	_, err := NewStructure(n, vec.NewInt(0, 0, 1))
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+}

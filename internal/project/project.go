@@ -19,6 +19,7 @@ package project
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hyperplane"
@@ -93,22 +94,111 @@ func Project(st *loop.Structure, pi vec.Int) (*Structure, error) {
 	s := pi.Dot(pi)
 	ps := &Structure{Orig: st, Pi: pi.Clone(), S: s}
 
-	// Project every vertex into one flat coordinate buffer and sort vertex
-	// ids by (scaled projection, execution time): equal projections become
-	// adjacent runs, which yields the fiber grouping without any hashing or
-	// string keys — the construction is O(V·n·log V) straight-line code.
+	// Project every vertex into one flat coordinate buffer.
 	n := st.Dim()
-	nV := len(st.V)
-	buf := make([]int64, nV*n)
-	times := make([]int64, nV)
-	order := make([]int, nV)
+	buf := make([]int64, len(st.V)*n)
 	for vi, x := range st.V {
 		t := x.Dot(pi)
-		times[vi] = t
 		row := buf[vi*n : vi*n+n]
 		for j, xj := range x {
 			row[j] = s*xj - pi[j]*t
 		}
+	}
+	if li := newLatticeIndex(buf, pi); li != nil {
+		ps.lattice = li
+		ps.bucket(buf)
+	} else {
+		ps.sortFibers(buf)
+	}
+
+	// Project the dependence vectors and compute r factors.
+	for di, d := range st.D {
+		sd := ScalePoint(d, pi, s)
+		ps.Deps = append(ps.Deps, Dep{Index: di, Orig: d.Clone(), Scaled: sd, R: rFactor(sd, s)})
+	}
+	return ps, nil
+}
+
+// bucket groups the vertices into fibers through the dense lattice table,
+// in O(V + |V^p| log |V^p|): one pass over V numbers each distinct
+// projection at its first occurrence and counts its fiber, only the
+// distinct points are sorted, and prefix sums place the vertex ids into
+// one shared backing array.
+//
+// No per-fiber sort is needed. Two vertices share a projection iff they
+// differ by a multiple of Π, and V is in lexicographic order, so V's order
+// along a fiber is execution-time order when Π is lexicographically
+// positive and its reverse otherwise.
+func (ps *Structure) bucket(buf []int64) {
+	li := ps.lattice
+	n := len(ps.Pi)
+	nV := len(ps.Orig.V)
+	var first, count []int // per projection: first vertex, fiber length
+	pid := make([]int32, nV)
+	for vi := 0; vi < nV; vi++ {
+		off := li.offset(buf[vi*n : vi*n+n])
+		id := li.table[off] - 1
+		if id < 0 {
+			id = int32(len(first))
+			li.table[off] = id + 1
+			first = append(first, vi)
+			count = append(count, 0)
+		}
+		pid[vi] = id
+		count[id]++
+	}
+
+	// Sort the distinct points lexicographically; rank maps discovery id
+	// to position in Points.
+	np := len(first)
+	order := make([]int32, np)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	row := func(id int32) vec.Int { return buf[first[id]*n : first[id]*n+n] }
+	slices.SortFunc(order, func(a, b int32) int { return row(a).Cmp(row(b)) })
+	rank := make([]int32, np)
+	points := make([]int64, np*n)
+	ps.Points = make([]vec.Int, np)
+	start := make([]int, np+1)
+	for i, id := range order {
+		rank[id] = int32(i)
+		p := points[i*n : i*n+n : i*n+n]
+		copy(p, row(id))
+		ps.Points[i] = p
+		li.table[li.offset(p)] = int32(i) + 1
+		start[i+1] = start[i] + count[id]
+	}
+
+	backing := make([]int, nV)
+	next := append([]int(nil), start[:np]...)
+	for vi, id := range pid {
+		r := rank[id]
+		backing[next[r]] = vi
+		next[r]++
+	}
+	reverse := !ps.Pi.LexPositive()
+	ps.Fibers = make([][]int, np)
+	for i := range ps.Fibers {
+		f := backing[start[i]:start[i+1]:start[i+1]]
+		if reverse {
+			slices.Reverse(f)
+		}
+		ps.Fibers[i] = f
+	}
+}
+
+// sortFibers is the fallback for point sets whose lattice box exceeds
+// latticeDenseCap: it sorts vertex ids by (scaled projection, execution
+// time) so equal projections become adjacent runs, and indexes the
+// distinct points through a string-keyed map.
+func (ps *Structure) sortFibers(buf []int64) {
+	n := len(ps.Pi)
+	nV := len(ps.Orig.V)
+	times := make([]int64, nV)
+	order := make([]int, nV)
+	for vi, x := range ps.Orig.V {
+		times[vi] = x.Dot(ps.Pi)
 		order[vi] = vi
 	}
 	sort.Slice(order, func(a, b int) bool {
@@ -145,14 +235,10 @@ func Project(st *loop.Structure, pi vec.Int) (*Structure, error) {
 		ps.Fibers = append(ps.Fibers, fib)
 		i = j
 	}
-	ps.buildIndex()
-
-	// Project the dependence vectors and compute r factors.
-	for di, d := range st.D {
-		sd := ScalePoint(d, pi, s)
-		ps.Deps = append(ps.Deps, Dep{Index: di, Orig: d.Clone(), Scaled: sd, R: rFactor(sd, s)})
+	ps.index = make(map[string]int, len(ps.Points))
+	for i, p := range ps.Points {
+		ps.index[p.Key()] = i
 	}
-	return ps, nil
 }
 
 // latticeDenseCap bounds the dense lattice table size (entries). Projected
@@ -175,64 +261,53 @@ type latticeIndex struct {
 	table   []int32 // point index + 1; 0 marks an empty slot
 }
 
-// buildIndex constructs the dense lattice index, falling back to the
-// string-keyed map when the reduced bounding box exceeds latticeDenseCap.
-func (ps *Structure) buildIndex() {
-	n := len(ps.Pi)
-	if len(ps.Points) > 0 {
-		lo := make([]int64, n)
-		hi := make([]int64, n)
-		copy(lo, ps.Points[0])
-		copy(hi, ps.Points[0])
-		for _, p := range ps.Points[1:] {
-			for j, x := range p {
-				if x < lo[j] {
-					lo[j] = x
-				}
-				if x > hi[j] {
-					hi[j] = x
-				}
-			}
-		}
-		// Drop the widest dimension with Π_k ≠ 0 (Π is nonzero, so one
-		// always exists); the hyperplane equation makes it redundant.
-		drop := -1
-		for j := 0; j < n; j++ {
-			if ps.Pi[j] == 0 {
-				continue
-			}
-			if drop < 0 || hi[j]-lo[j] > hi[drop]-lo[drop] {
-				drop = j
-			}
-		}
-		volume := int64(1)
-		for j := 0; j < n && volume <= latticeDenseCap; j++ {
-			if j != drop {
-				volume *= hi[j] - lo[j] + 1
-			}
-		}
-		if drop >= 0 && volume <= latticeDenseCap {
-			li := &latticeIndex{drop: drop, lo: lo, hi: hi, strides: make([]int64, n)}
-			stride := int64(1)
-			for j := n - 1; j >= 0; j-- {
-				if j == drop {
-					continue
-				}
-				li.strides[j] = stride
-				stride *= hi[j] - lo[j] + 1
-			}
-			li.table = make([]int32, volume)
-			for i, p := range ps.Points {
-				li.table[li.offset(p)] = int32(i) + 1
-			}
-			ps.lattice = li
-			return
+// newLatticeIndex sizes an empty dense table over the bounding box of the
+// scaled projections in buf (rows of len(pi) coordinates). It returns nil
+// when buf is empty or the reduced box exceeds latticeDenseCap.
+func newLatticeIndex(buf []int64, pi vec.Int) *latticeIndex {
+	n := len(pi)
+	if len(buf) == 0 {
+		return nil
+	}
+	lo := append([]int64(nil), buf[:n]...)
+	hi := append([]int64(nil), buf[:n]...)
+	for i := n; i < len(buf); i += n {
+		for j, x := range buf[i : i+n] {
+			lo[j] = min(lo[j], x)
+			hi[j] = max(hi[j], x)
 		}
 	}
-	ps.index = make(map[string]int, len(ps.Points))
-	for i, p := range ps.Points {
-		ps.index[p.Key()] = i
+	// Drop the widest dimension with Π_k ≠ 0 (Π is nonzero, so one always
+	// exists); the hyperplane equation makes it redundant.
+	drop := -1
+	for j := 0; j < n; j++ {
+		if pi[j] == 0 {
+			continue
+		}
+		if drop < 0 || hi[j]-lo[j] > hi[drop]-lo[drop] {
+			drop = j
+		}
 	}
+	if drop < 0 {
+		return nil
+	}
+	li := &latticeIndex{drop: drop, lo: lo, hi: hi, strides: make([]int64, n)}
+	volume := int64(1)
+	for j := n - 1; j >= 0; j-- {
+		if j == drop {
+			continue
+		}
+		li.strides[j] = volume
+		extent, ok := ints.CheckedSub(hi[j], lo[j])
+		if !ok || extent >= latticeDenseCap {
+			return nil
+		}
+		if volume, ok = ints.CheckedMul(volume, extent+1); !ok || volume > latticeDenseCap {
+			return nil
+		}
+	}
+	li.table = make([]int32, volume)
+	return li
 }
 
 // offset computes the table slot of an in-box point.
@@ -301,6 +376,16 @@ func (ps *Structure) IndexOf(scaled vec.Int) int {
 // Dense reports whether lookups run on the dense lattice table rather than
 // the string-keyed fallback map.
 func (ps *Structure) Dense() bool { return ps.lattice != nil }
+
+// IndexBytes estimates the resident size of the point index: the dense
+// lattice table, or the fallback map's entries (string header, key bytes
+// and value).
+func (ps *Structure) IndexBytes() int64 {
+	if ps.lattice != nil {
+		return int64(cap(ps.lattice.table)) * 4
+	}
+	return int64(len(ps.index)) * int64(16+8*len(ps.Pi)+8)
+}
 
 // HasPoint reports whether the scaled point belongs to V^p.
 func (ps *Structure) HasPoint(scaled vec.Int) bool {

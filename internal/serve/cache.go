@@ -3,8 +3,10 @@ package serve
 import (
 	"container/list"
 	"sync"
+	"unsafe"
 
 	loopmap "repro"
+	"repro/internal/core"
 	"repro/internal/persist"
 )
 
@@ -103,21 +105,29 @@ func (c *planCache) stats() (bytes int64, entries int) {
 // planBytes estimates the resident size of a base plan: the vertex set and
 // its projection dominate, with the partitioning's per-point tables and the
 // TIG behind them. The estimate only needs to be proportional — the cache
-// budget is a sizing knob, not an allocator.
+// budget is a sizing knob, not an allocator — but it must not undercount
+// the slices a plan owns (TestPlanBytesCoversOwnedSlices).
 func planBytes(p *loopmap.Plan) int64 {
-	const vecHeader = 24 // slice header per vec.Int
+	const word, header = 8, 24 // int64/int and slice header sizes
 	dims := int64(p.Structure.Nest.Dims)
-	perVec := dims*8 + vecHeader
+	perVec := dims*word + header
+	nV := int64(len(p.Structure.V))
+	nP := int64(len(p.Projected.Points))
 
-	b := int64(len(p.Structure.V)) * perVec
-	b += int64(len(p.Projected.Points)) * (perVec + vecHeader)
-	for _, f := range p.Projected.Fibers {
-		b += int64(len(f)) * 8
+	// Vertices: one shared coordinate buffer plus a header per vertex.
+	b := nV * perVec
+	// Projected points likewise; fibers are one header per point over one
+	// shared backing array of vertex ids; then the point index.
+	b += nP*(perVec+header) + nV*word + p.Projected.IndexBytes()
+	b += int64(len(p.Projected.Deps)) * (2*perVec + 2*word)
+	part := p.Partitioning
+	b += int64(cap(part.BlockOf)+cap(part.GroupOf)) * word
+	b += int64(cap(part.Groups)) * int64(unsafe.Sizeof(core.Group{}))
+	for _, g := range part.Groups {
+		b += int64(cap(g.Base)+cap(g.Members)+cap(g.Slot)+cap(g.Coords)) * word
 	}
-	b += int64(len(p.Partitioning.BlockOf)+len(p.Partitioning.GroupOf)) * 8
-	for _, g := range p.Partitioning.Groups {
-		b += perVec + int64(len(g.Members)+len(g.Slot))*8 + int64(len(g.Coords))*8
-	}
-	b += int64(len(p.TIG.Edges))*24 + int64(len(p.TIG.Loads))*8
-	return b + 512 // fixed struct overhead
+	// The TIG: loads, edges, CSR row offsets and per-edge dependence
+	// weights.
+	b += p.TIG.Bytes()
+	return b + 2048 // the kernel, schedule and fixed struct overhead
 }

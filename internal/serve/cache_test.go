@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,5 +130,82 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 	v, err, _ := g.do(context.Background(), "k", func() (any, error) { return 1, nil })
 	if err != nil || v.(int) != 1 {
 		t.Fatalf("retry after failure: v=%v err=%v", v, err)
+	}
+}
+
+// ownedSliceBytes sums cap × element size over every slice reachable from
+// v through pointers, structs, arrays and slices, counting each pointer
+// target and each slice backing array once. Maps, functions, interfaces
+// and channels are not followed.
+func ownedSliceBytes(v reflect.Value, seen map[uintptr]bool) int64 {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		return ownedSliceBytes(v.Elem(), seen)
+	case reflect.Struct:
+		var b int64
+		for i := 0; i < v.NumField(); i++ {
+			b += ownedSliceBytes(v.Field(i), seen)
+		}
+		return b
+	case reflect.Array:
+		var b int64
+		for i := 0; i < v.Len(); i++ {
+			b += ownedSliceBytes(v.Index(i), seen)
+		}
+		return b
+	case reflect.Slice:
+		if v.IsNil() || v.Cap() == 0 || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		b := int64(v.Cap()) * int64(v.Type().Elem().Size())
+		switch v.Type().Elem().Kind() {
+		case reflect.Pointer, reflect.Struct, reflect.Array, reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				b += ownedSliceBytes(v.Index(i), seen)
+			}
+		}
+		return b
+	}
+	return 0
+}
+
+// TestPlanBytesCoversOwnedSlices: the cache budget counts a plan by
+// planBytes, so the estimate must be at least the bytes of every slice
+// the plan owns — the vertex buffer, projected points, the shared fibers
+// backing, the lattice table, the partitioning's tables and the TIG's CSR
+// arrays — or the budget silently grows.
+func TestPlanBytesCoversOwnedSlices(t *testing.T) {
+	cases := []struct {
+		kernel string
+		size   int64
+		opt    loopmap.PartitionOptions
+	}{
+		{"l1", 8, loopmap.PartitionOptions{}},
+		{"matmul", 12, loopmap.PartitionOptions{}},
+		{"matmul", 10, loopmap.PartitionOptions{MergeFactor: 3, NoAux: true}},
+		{"stencil", 24, loopmap.PartitionOptions{MergeFactor: 2}},
+		{"triangular", 16, loopmap.PartitionOptions{}},
+		{"closure", 6, loopmap.PartitionOptions{}},
+		{"dct", 8, loopmap.PartitionOptions{}},
+	}
+	for _, tc := range cases {
+		k, err := loopmap.LookupKernel(tc.kernel, tc.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := loopmap.NewPlan(k, loopmap.PlanOptions{CubeDim: -1, Partition: tc.opt})
+		if err != nil {
+			t.Fatalf("%s %d: %v", tc.kernel, tc.size, err)
+		}
+		owned := ownedSliceBytes(reflect.ValueOf(p), map[uintptr]bool{})
+		if est := planBytes(p); est < owned {
+			t.Errorf("%s %d %+v: planBytes = %d, below the %d bytes of slices the plan owns",
+				tc.kernel, tc.size, tc.opt, est, owned)
+		}
 	}
 }

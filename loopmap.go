@@ -534,9 +534,8 @@ func (p *Plan) Summary() string {
 		p.Kernel.Name, len(p.Structure.V), len(p.Structure.D), p.Schedule.Pi, p.Schedule.Steps())
 	fmt.Fprintf(&b, "projection: %d projected points (s = %d), group size r = %d, β = %d\n",
 		len(p.Projected.Points), p.Projected.S, p.Partitioning.R, p.Partitioning.Beta)
-	es := p.Partitioning.EdgeStats()
 	fmt.Fprintf(&b, "partitioning: %d blocks, max block %d points, %d/%d dependences interblock\n",
-		p.Partitioning.NumBlocks(), p.Partitioning.MaxBlockSize(), es.InterBlock, es.Total)
+		p.Partitioning.NumBlocks(), p.Partitioning.MaxBlockSize(), p.TIG.TotalTraffic(), p.TIG.Arcs)
 	fmt.Fprintf(&b, "TIG: %d edges, traffic %d, max out-degree %d (Theorem 2 bound %d)\n",
 		len(p.TIG.Edges), p.TIG.TotalTraffic(), p.TIG.MaxOutDegree(), core.Theorem2Bound(p.Partitioning))
 	if p.Mapping != nil {
